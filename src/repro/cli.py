@@ -108,7 +108,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     timing = result.get("timing") or {}
     if timing.get("trials_per_sec"):
         print(f"\n{timing['cells']} cells x {result['trials']} trials in "
-              f"{timing['wall_time_s']:.2f}s trial-loop time "
+              f"{timing['wall_time_s']:.2f}s wall time "
               f"({timing['trials_per_sec']:.1f} trials/s, "
               f"{'naive' if args.naive else 'engine'} path)")
     return 0

@@ -73,7 +73,8 @@ def run_cells(fn: Callable[[Any], Any], cells: Sequence[Any], *,
               jobs: int = 1,
               cache_namespace: Optional[str] = None,
               cache_salt: Optional[str] = None,
-              progress: Optional[Callable[[int, int, Any], None]] = None
+              progress: Optional[Callable[[int, int, Any], None]] = None,
+              on_computed: Optional[Callable[[int], None]] = None
               ) -> List[Any]:
     """Evaluate ``fn`` over ``cells``; return results in input order.
 
@@ -98,6 +99,10 @@ def run_cells(fn: Callable[[Any], Any], cells: Sequence[Any], *,
     progress:
         Optional callback ``progress(done, total, cell)`` invoked after
         each cell completes (cache hits included).
+    on_computed:
+        Optional callback ``on_computed(index)`` invoked for each cell
+        this call computed rather than loaded from the cache, so callers
+        can tell fresh work (and its timings) from replayed results.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
@@ -135,6 +140,8 @@ def run_cells(fn: Callable[[Any], Any], cells: Sequence[Any], *,
             value = store_and_reload(cache_namespace, cells[i], cache_salt, value)
         results[i] = value
         done += 1
+        if on_computed is not None:
+            on_computed(i)
         if progress is not None:
             progress(done, total, cells[i])
 

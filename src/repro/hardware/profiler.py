@@ -14,7 +14,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-from typing import Dict, Iterator, Tuple
+import threading
+from typing import Dict, Iterator, List, Tuple
 
 from .constants import CLOCK_HZ
 from .pe import make_pe
@@ -39,23 +40,36 @@ class MacCounter:
                 "total": self.total}
 
 
-_ACTIVE: list = []
+class _CounterStack(threading.local):
+    """This thread's live counters, innermost last.
+
+    Thread-local so a ``count_macs()`` block on one serving worker counts
+    only that worker's matmuls, never a concurrent worker's.
+    """
+
+    def __init__(self) -> None:
+        self.counters: List[MacCounter] = []
+
+
+_ACTIVE = _CounterStack()
 
 
 @contextlib.contextmanager
 def count_macs() -> Iterator[MacCounter]:
-    """Record every matmul/conv MAC executed in the block."""
+    """Record every matmul/conv MAC this thread executes in the block."""
     counter = MacCounter()
-    _ACTIVE.append(counter)
+    counters = _ACTIVE.counters
+    counters.append(counter)
     try:
         yield counter
     finally:
-        _ACTIVE.pop()
+        counters.pop()
 
 
 def record_matmul(shape_a: Tuple[int, ...], shape_b: Tuple[int, ...]) -> None:
     """Called by ``Tensor.__matmul__``; no-op when no counter is active."""
-    if not _ACTIVE:
+    counters = _ACTIVE.counters
+    if not counters:
         return
     if len(shape_a) == 1:  # 1-D dot
         macs = shape_a[0]
@@ -68,17 +82,18 @@ def record_matmul(shape_a: Tuple[int, ...], shape_b: Tuple[int, ...]) -> None:
         for extra in shape_b[:-2][len(shape_a[:-2]):]:
             batch *= extra
         macs = batch * m * k * n
-    for counter in _ACTIVE:
+    for counter in counters:
         counter.matmul_macs += macs
 
 
 def record_conv2d(batch: int, out_ch: int, in_ch: int, kh: int, kw: int,
                   oh: int, ow: int) -> None:
     """Called by ``functional.conv2d``."""
-    if not _ACTIVE:
+    counters = _ACTIVE.counters
+    if not counters:
         return
     macs = batch * out_ch * in_ch * kh * kw * oh * ow
-    for counter in _ACTIVE:
+    for counter in counters:
         counter.conv_macs += macs
 
 

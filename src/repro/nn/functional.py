@@ -7,32 +7,20 @@ quantization with a straight-through estimator); layers in
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..hardware.profiler import record_conv2d
 from ..rng import default_rng
 from . import sanitize as _sanitize
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, _op
 
 __all__ = [
     "avg_pool2d", "cat", "conv2d", "cross_entropy", "dropout", "embedding",
     "fake_quantize", "gelu", "global_avg_pool2d", "log_softmax",
     "masked_fill", "max_pool2d", "relu", "sigmoid", "softmax", "tanh",
 ]
-
-
-def _op(data: np.ndarray, parents: Tuple[Tensor, ...],
-        backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Build an op-output tensor, skipping the graph when not needed."""
-    if not is_grad_enabled() or not any(
-            p.requires_grad or p._parents for p in parents):
-        out = Tensor(data)
-    else:
-        out = Tensor(data, parents=parents, backward=backward)
-    if _sanitize._ACTIVE:
-        _sanitize.on_op(out, out.data, parents, backward)
-    return out
 
 
 # --------------------------------------------------------------- activations
@@ -152,10 +140,9 @@ def dropout(x: Tensor, p: float, training: bool,
 def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(grad: np.ndarray) -> None:
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * grad.ndim
             index[axis] = slice(lo, hi)
@@ -187,7 +174,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     oh = (ph - kh) // stride + 1
     ow = (pw - kw) // stride + 1
 
-    from ..hardware.profiler import record_conv2d
     record_conv2d(batch, out_ch, in_ch, kh, kw, oh, ow)
 
     sb, sc, sh, sw = xp.strides

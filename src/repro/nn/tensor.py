@@ -3,10 +3,20 @@
 This is the training substrate standing in for PyTorch (DESIGN.md §2):
 enough autograd to train and quantization-aware-retrain the paper's three
 model families (Transformer, attention seq2seq LSTM, residual CNN) on a
-CPU.  The design is the classic tape-free dynamic graph: each ``Tensor``
-holds its data, an optional gradient, its parent tensors, and a closure
-that routes its output gradient to the parents; ``backward()`` runs a
-topological sort and accumulates.
+CPU.  Every op computes its forward value with plain NumPy and hands it,
+with its parents and a ``backward`` closure, to one op-output
+constructor (``_op``), which serves two modes:
+
+* **Grad mode** (the default) records a dynamic graph.  An output whose
+  inputs are in a graph (they require grad or have parents) keeps its
+  parents and its closure, which routes the output gradient to the
+  parents; ``backward()`` sorts the graph topologically and accumulates.
+* **Inference mode** (``no_grad``, per thread) records nothing.  The
+  output is a bare leaf: float32 data, no parents, no closure kept.
+  State that only backward needs (inverse permutations, reduction
+  counts, max and clip masks, signs) is computed inside the closures, so
+  inference never pays for it.  The forward NumPy calls are the same in
+  both modes, so outputs are bit-identical.
 
 Only operations the models need are implemented, each with full
 broadcasting support.  Everything is float32 by default (float64 is
@@ -16,7 +26,7 @@ reserved for the number-format code, which is exactness-sensitive).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -126,16 +136,14 @@ class Tensor:
                  "_san_layer")
     __array_priority__ = 100  # make ndarray defer to our __radd__ etc.
 
-    def __init__(self, data, requires_grad: bool = False,
-                 parents: Tuple["Tensor", ...] = (),
-                 backward: Optional[Callable[[np.ndarray], None]] = None) -> None:
+    def __init__(self, data, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents = parents if is_grad_enabled() else ()
-        self._backward = backward if is_grad_enabled() else None
+        self._parents: Tuple[Tensor, ...] = ()
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
 
     # ------------------------------------------------------------ plumbing
     @property
@@ -175,22 +183,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}{grad})"
 
     # ------------------------------------------------------------ autograd
-    def _needs_graph(self, *others: "Tensor") -> bool:
-        if not is_grad_enabled():
-            return False
-        return any(t.requires_grad or t._parents for t in (self,) + others)
-
-    def _make(self, data: np.ndarray, parents: Tuple["Tensor", ...],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        if not is_grad_enabled() or not any(
-                p.requires_grad or p._parents for p in parents):
-            out = Tensor(data)
-        else:
-            out = Tensor(data, parents=parents, backward=backward)
-        if _sanitize._ACTIVE:
-            _sanitize.on_op(out, out.data, parents, backward)
-        return out
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(grad, dtype=np.float32)
@@ -230,7 +222,7 @@ class Tensor:
     # ---------------------------------------------------------- arithmetic
     @staticmethod
     def _wrap(x: TensorLike) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
+        return x if isinstance(x, Tensor) else _leaf(x)
 
     def __add__(self, other: TensorLike) -> "Tensor":
         other = self._wrap(other)
@@ -240,7 +232,7 @@ class Tensor:
             self._accumulate(_unbroadcast(grad, self.shape))
             other._accumulate(_unbroadcast(grad, other.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return _op(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -248,7 +240,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
-        return self._make(-self.data, (self,), backward)
+        return _op(-self.data, (self,), backward)
 
     def __sub__(self, other: TensorLike) -> "Tensor":
         return self + (-self._wrap(other))
@@ -264,7 +256,7 @@ class Tensor:
             self._accumulate(_unbroadcast(grad * other.data, self.shape))
             other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return _op(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -277,7 +269,7 @@ class Tensor:
             other._accumulate(_unbroadcast(
                 -grad * self.data / (other.data * other.data), other.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return _op(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: TensorLike) -> "Tensor":
         return self._wrap(other) / self
@@ -290,7 +282,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._wrap(other)
@@ -314,7 +306,7 @@ class Tensor:
             self._accumulate(_unbroadcast(ga, a.shape))
             other._accumulate(_unbroadcast(gb, b.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return _op(out_data, (self, other), backward)
 
     # ----------------------------------------------------------- unary ops
     def exp(self) -> "Tensor":
@@ -323,13 +315,13 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data)
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / self.data)
 
-        return self._make(np.log(self.data), (self,), backward)
+        return _op(np.log(self.data), (self,), backward)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
@@ -337,7 +329,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * 0.5 / out_data)
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -345,7 +337,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data * out_data))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -353,7 +345,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -361,109 +353,135 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask)
 
-        return self._make(self.data * mask, (self,), backward)
+        return _op(self.data * mask, (self,), backward)
 
     def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sign)
+            self._accumulate(grad * np.sign(self.data))
 
-        return self._make(np.abs(self.data), (self,), backward)
+        return _op(np.abs(self.data), (self,), backward)
 
     # ------------------------------------------------------------ reshapes
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        in_shape = self.shape
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(in_shape))
+            self._accumulate(grad.reshape(self.data.shape))
 
-        return self._make(out_data, (self,), backward)
+        return _op(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = tuple(np.argsort(axes))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
+            self._accumulate(grad.transpose(tuple(np.argsort(axes))))
 
-        return self._make(self.data.transpose(axes), (self,), backward)
+        return _op(self.data.transpose(axes), (self,), backward)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.swapaxes(a, b))
 
-        return self._make(self.data.swapaxes(a, b), (self,), backward)
+        return _op(self.data.swapaxes(a, b), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-        in_shape = self.shape
-
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros(in_shape, dtype=np.float32)
+            full = np.zeros(self.data.shape, dtype=np.float32)
             np.add.at(full, index, grad)
             self._accumulate(full)
 
-        return self._make(out_data, (self,), backward)
+        return _op(self.data[index], (self,), backward)
 
     # ----------------------------------------------------------- reductions
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        in_shape = self.shape
-
         def backward(grad: np.ndarray) -> None:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, in_shape))
+            self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        return self._make(out_data, (self,), backward)
+        return _op(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                   backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.mean(axis=axis, keepdims=keepdims)
-        in_shape = self.shape
-        count = self.data.size if axis is None else np.prod(
-            [in_shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
-
         def backward(grad: np.ndarray) -> None:
+            in_shape = self.data.shape
+            count = self.data.size if axis is None else np.prod(
+                [in_shape[a]
+                 for a in (axis if isinstance(axis, tuple) else (axis,))])
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, in_shape) / count)
 
-        return self._make(out_data, (self,), backward)
+        return _op(self.data.mean(axis=axis, keepdims=keepdims), (self,),
+                   backward)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        expanded = out_data if (keepdims or axis is None) \
-            else np.expand_dims(out_data, axis)
-        mask = (self.data == expanded)
-        counts = mask.sum(axis=axis, keepdims=True)
 
         def backward(grad: np.ndarray) -> None:
+            expanded = out_data if (keepdims or axis is None) \
+                else np.expand_dims(out_data, axis)
+            mask = (self.data == expanded)
+            counts = mask.sum(axis=axis, keepdims=True)
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(mask * (g / counts))
 
-        return self._make(out_data, (self,), backward)
+        return _op(out_data, (self,), backward)
 
     # ------------------------------------------------------------- helpers
     def clip_values(self, lo: float, hi: float) -> "Tensor":
         """Clamp with pass-through gradient only inside the range."""
-        mask = (self.data >= lo) & (self.data <= hi)
-
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * ((self.data >= lo) & (self.data <= hi)))
 
-        return self._make(np.clip(self.data, lo, hi), (self,), backward)
+        return _op(np.clip(self.data, lo, hi), (self,), backward)
 
 
-def _as_tensor_tuple(tensors: Iterable[TensorLike]) -> Tuple[Tensor, ...]:
-    return tuple(t if isinstance(t, Tensor) else Tensor(t) for t in tensors)
+# ----------------------------------------------------- op-output construction
+_F32 = np.dtype(np.float32)
+_new_tensor = object.__new__
+
+
+def _leaf(data) -> Tensor:
+    """A graph-free tensor over ``data`` cast to float32.
+
+    Builds the slots directly instead of going through ``Tensor.__init__``:
+    op outputs and wrapped scalars are never ``Tensor``s themselves and
+    never require grad, and a float32 ndarray is kept as is.
+    """
+    out = _new_tensor(Tensor)
+    out.data = data if type(data) is np.ndarray and data.dtype is _F32 \
+        else np.asarray(data, dtype=np.float32)
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    return out
+
+
+def _op(data, parents: Tuple[Tensor, ...],
+        backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The op-output constructor every ``Tensor`` and functional op uses.
+
+    The output joins the graph only when grad is enabled on this thread
+    and some parent is in a graph.  Otherwise it is a bare leaf and
+    ``backward`` is dropped here, taking whatever backward-only state its
+    closure would have computed with it.  An active sanitizer still sees
+    ``backward``: it names the op after the closure's qualname.
+    """
+    out = _leaf(data)
+    if _STATE.grad_enabled and any(p.requires_grad or p._parents
+                                   for p in parents):
+        out._parents = parents
+        out._backward = backward
+    if _sanitize._ACTIVE:
+        _sanitize.on_op(out, out.data, parents, backward)
+    return out

@@ -34,6 +34,8 @@ import time
 from concurrent.futures import Future
 from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from .. import obs
 from ..nn import Sanitizer, deterministic_matmul
 from ..obs import clock
@@ -537,12 +539,16 @@ class InferenceServer:
             error: Optional[BaseException] = None
             t_batch = clock.now()
             try:
-                if cfg.probe:
-                    results, probe_kind = self._probe_batch(entry, requests)
-                    if probe_kind is not None:
-                        fault = "probe"
-                else:
-                    results = self._run_batch(entry, requests)
+                # a corrupted weight may overflow the forward; the probe
+                # and the scrub below detect it, so NumPy need not warn
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if cfg.probe:
+                        results, probe_kind = self._probe_batch(entry,
+                                                                requests)
+                        if probe_kind is not None:
+                            fault = "probe"
+                    else:
+                        results = self._run_batch(entry, requests)
             except BaseException as err:
                 _count_swallowed("resilient.attempt", err)
                 error = err

@@ -95,6 +95,14 @@ class TestCellCache:
         assert again[0] == {"value": -1}
         assert again[1:] == [{"value": n * n} for n in range(1, 6)]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_computed_skips_cache_hits(self, jobs):
+        run_cells(square_cell, CELLS[:2], cache_namespace="toy")
+        computed = []
+        run_cells(square_cell, CELLS, jobs=jobs, cache_namespace="toy",
+                  on_computed=computed.append)
+        assert sorted(computed) == [2, 3, 4, 5]
+
     def test_salt_invalidates(self):
         run_cells(square_cell, CELLS, cache_namespace="toy", cache_salt="v1")
         key_v1 = content_key({"cell": CELLS[0], "salt": "v1"})

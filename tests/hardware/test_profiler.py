@@ -1,5 +1,7 @@
 """Tests for MAC counting and the inference cost estimator."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,29 @@ class TestMacCounting:
                 a @ a
         assert inner.total == 8
         assert outer.total == 16
+
+    def test_counters_are_per_thread(self):
+        # both threads hold a live counter while both run matmuls
+        barrier = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def work(name, m):
+            a = Tensor(np.zeros((m, 4), dtype=np.float32))
+            b = Tensor(np.zeros((4, 5), dtype=np.float32))
+            with count_macs() as counter:
+                barrier.wait()
+                a @ b
+                barrier.wait()
+            seen[name] = counter.total
+
+        threads = [threading.Thread(target=work, args=(name, m))
+                   for name, m in (("a", 2), ("b", 3))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert seen == {"a": 2 * 4 * 5, "b": 3 * 4 * 5}
 
     def test_resnet_inference_counts(self):
         model = ResNet(ResNetConfig(blocks_per_stage=1)).eval()

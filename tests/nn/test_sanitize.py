@@ -172,6 +172,34 @@ class TestForwardChecks:
             F.softmax(y, axis=-1)
         assert report.findings == []
 
+    @pytest.mark.parametrize("op, forward", [
+        ("log", lambda x: x.log()),
+        ("sqrt", lambda x: x.sqrt()),
+        ("masked_fill", lambda x: F.masked_fill(x, x.data < 0, np.nan)),
+    ], ids=["log", "sqrt", "masked_fill"])
+    def test_no_grad_findings_keep_op_and_layer(self, op, forward):
+        # inference outputs keep no backward closure; the finding must
+        # still name the op and the layer exactly as in grad mode
+        class Bad(nn.Module):
+            def forward(self, x):
+                return forward(x)
+
+        model = nn.Sequential(nn.Linear(4, 4), Bad())
+        x = nn.Tensor(fresh_rng(4).normal(size=(3, 4)))
+        seen = []
+        for grad_mode in (True, False):
+            with nn.Sanitizer(model) as report, \
+                    np.errstate(invalid="ignore"):
+                if grad_mode:
+                    model(x)
+                else:
+                    with nn.no_grad():
+                        model(x)
+            nans = report.by_kind("forward-nan")
+            assert len(nans) == 1, report.render()
+            seen.append((nans[0].op, nans[0].layer))
+        assert seen == [(op, "1")] * 2
+
     def test_max_findings_truncates(self):
         x = nn.Tensor(np.array([710.0]))
         with nn.Sanitizer(max_findings=2) as report:

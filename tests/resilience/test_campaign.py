@@ -88,10 +88,38 @@ class TestCampaign:
         assert fl["exponent"] is not None
 
     def test_warm_rerun_is_byte_identical(self):
+        # the top-level timing is measured per call (see the test below)
         first = _run()
         again = _run()
+        first.pop("timing")
+        again.pop("timing")
         assert json.dumps(first, sort_keys=True) \
             == json.dumps(again, sort_keys=True)
+
+    def test_warm_rerun_reports_its_own_wall_time(self):
+        histogram = campaign._CELL_SECONDS._default
+
+        def run_seed_one():
+            # a seed no other test uses, so the first run computes every cell
+            return campaign.run(profile="tiny", models=("transformer",),
+                                formats=FORMATS, bits=8, fields=FIELDS,
+                                trials=2, seed=1)
+
+        before = histogram.count
+        cold = run_seed_one()
+        observed = histogram.count - before
+        warm = run_seed_one()
+        assert observed == cold["timing"]["cells"]
+        assert histogram.count - before == observed  # cache hits add none
+        cell_walls = sum(cell["timing"]["wall_time_s"]
+                         for fmt in cold["models"]["transformer"]["formats"]
+                         .values() for cell in fmt.values() if cell)
+        assert warm["timing"]["wall_time_s"] \
+            < min(cold["timing"]["wall_time_s"], cell_walls)
+        cold.pop("timing")
+        warm.pop("timing")
+        assert json.dumps(cold, sort_keys=True) \
+            == json.dumps(warm, sort_keys=True)
 
     def test_payloads_are_strict_json(self):
         result = _run()

@@ -18,6 +18,7 @@ from repro.resilience.inject import flip_float_register
 from repro.serve import (CircuitBreaker, DeadlineExceeded, InferenceServer,
                          ModelPool, ResilienceConfig, ServerDegraded)
 from repro.serve.batching import serial_reference
+from repro.serve.engine import _SWALLOWED
 from repro.serve.bench import build_requests
 
 TARGET = "encoder.0.ffn.fc1.weight"
@@ -48,7 +49,13 @@ def quiet_config(**overrides):
 
 
 class TestClosedLoop:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mid_serve_exponent_flip_recovers_token_identical(self, pool):
+        # the overflowing forward must neither warn nor raise: the probe
+        # is what detects the fault
+        swallowed = _SWALLOWED.labels(site="resilient.attempt",
+                                      exc="RuntimeWarning")
+        swallowed_before = swallowed.value
         entry = pool.get("transformer")
         requests = build_requests("transformer", 8, seed=3, max_len=8)
         with deterministic_matmul():
@@ -79,6 +86,7 @@ class TestClosedLoop:
         assert res["recovered_batches"] >= 1
         assert res["uncorrectable"] == 0
         assert res["degradation"] == "ok"
+        assert swallowed.value == swallowed_before
 
     def test_silent_finite_corruption_caught_by_crc(self, pool):
         # A sign flip produces finite-but-wrong outputs no numeric probe
