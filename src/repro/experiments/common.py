@@ -84,7 +84,11 @@ class ModelBundle:
     build: Callable[[int], Tuple[nn.Module, object]]
     train_step: Callable[[nn.Module, object], nn.Tensor]   # (model, batch) -> loss
     batches: Callable[[object, int, int, int], Iterator]   # (task, bs, n, seed)
-    evaluate: Callable[[nn.Module, object, int], float]
+    #: (model, task, eval_size) -> score, in eval mode; the caller's
+    #: train/eval mode is restored afterwards.  The encoder-decoder
+    #: bundles also take ``memory=``, the model's clean eval-mode
+    #: ``encode`` of ``task.eval_set(eval_size)``, to skip re-encoding.
+    evaluate: Callable[..., float]
 
     def failure_score(self) -> float:
         """The score of a completely collapsed model (paper's 0.0 / inf)."""
@@ -103,13 +107,15 @@ def _transformer_step(model, batch):
                            label_smoothing=0.05)
 
 
-def _transformer_eval(model, task, eval_size: int) -> float:
+def _transformer_eval(model, task, eval_size: int, memory=None) -> float:
+    training = model.training
     model.eval()
-    batch = task.eval_set(eval_size)
-    hyp = model.greedy_decode(batch.src, max_len=16)
-    score = bleu_score(task.strip(batch.tgt_out), task.strip(hyp))
-    model.train()
-    return score
+    try:
+        batch = task.eval_set(eval_size)
+        hyp = model.greedy_decode(batch.src, max_len=16, memory=memory)
+        return bleu_score(task.strip(batch.tgt_out), task.strip(hyp))
+    finally:
+        model.train(training)
 
 
 # ----------------------------------------------------------------- seq2seq
@@ -123,13 +129,15 @@ def _seq2seq_step(model, batch):
     return F.cross_entropy(logits, batch.tgt_out, ignore_index=0)
 
 
-def _seq2seq_eval(model, task, eval_size: int) -> float:
+def _seq2seq_eval(model, task, eval_size: int, memory=None) -> float:
+    training = model.training
     model.eval()
-    batch = task.eval_set(eval_size)
-    hyp = model.greedy_decode(batch.frames)
-    score = wer_score(batch.refs, task.strip(hyp))
-    model.train()
-    return score
+    try:
+        batch = task.eval_set(eval_size)
+        hyp = model.greedy_decode(batch.frames, memory=memory)
+        return wer_score(batch.refs, task.strip(hyp))
+    finally:
+        model.train(training)
 
 
 # ------------------------------------------------------------------ resnet
@@ -143,12 +151,14 @@ def _resnet_step(model, batch):
 
 
 def _resnet_eval(model, task, eval_size: int) -> float:
+    training = model.training
     model.eval()
-    batch = task.eval_set(max(eval_size, 256))
-    with nn.no_grad():
-        score = top1_accuracy(model(batch.images).data, batch.labels)
-    model.train()
-    return score
+    try:
+        batch = task.eval_set(max(eval_size, 256))
+        with nn.no_grad():
+            return top1_accuracy(model(batch.images).data, batch.labels)
+    finally:
+        model.train(training)
 
 
 _BUNDLES: Dict[str, ModelBundle] = {

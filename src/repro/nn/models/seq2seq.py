@@ -48,6 +48,11 @@ class Seq2SeqConfig:
 class Seq2Seq(Module):
     """LSTM encoder / attention LSTM decoder with greedy decoding."""
 
+    #: The top-level submodules :meth:`encode` reads (its dropout holds no
+    #: parameters).  A change to any other parameter leaves the encoder
+    #: memory bit-identical, so it can be passed back in as ``memory``.
+    encoder_modules = ("input_proj", "encoder")
+
     def __init__(self, config: Optional[Seq2SeqConfig] = None,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -90,12 +95,15 @@ class Seq2Seq(Module):
         logits = self.generator(F.cat([h, context], axis=-1))
         return logits, (h, c)
 
-    def forward(self, frames: np.ndarray, tgt_ids: np.ndarray) -> Tensor:
+    def forward(self, frames: np.ndarray, tgt_ids: np.ndarray,
+                memory: Optional[Tensor] = None) -> Tensor:
         """Teacher-forced logits: (B, T_tgt, vocab).
 
-        ``tgt_ids`` is the *shifted-in* target (BOS-prefixed).
+        ``tgt_ids`` is the *shifted-in* target (BOS-prefixed); ``memory``
+        is a precomputed ``encode(frames)`` (``None`` encodes).
         """
-        memory = self.encode(frames)
+        if memory is None:
+            memory = self.encode(frames)
         batch, tgt_len = tgt_ids.shape
         state = self.decoder_cell.initial_state(batch)
         emb = self.embed(tgt_ids)
@@ -235,18 +243,21 @@ class Seq2Seq(Module):
 
     def greedy_decode(self, frames: np.ndarray,
                       max_len: Optional[int] = None,
-                      use_cache: bool = True) -> np.ndarray:
+                      use_cache: bool = True,
+                      memory: Optional[Tensor] = None) -> np.ndarray:
         """Greedy transcription; (B, <=max_len) ids, padded after EOS.
 
         ``use_cache=True`` (the default) projects the attention keys
         once per batch instead of once per step; the recurrent state is
-        carried either way.
+        carried either way.  ``memory`` is a precomputed eval-mode
+        ``encode(frames)``; ``None`` encodes.
         """
         cfg = self.config
         max_len = max_len or cfg.max_len
         batch = frames.shape[0]
         with no_grad():
-            memory = self.encode(frames)
+            if memory is None:
+                memory = self.encode(frames)
             keys_proj = self.attention.project_keys(memory) \
                 if use_cache else None
             state = self.decoder_cell.initial_state(batch)

@@ -134,6 +134,11 @@ class _DecoderLayer(Module):
 class Transformer(Module):
     """Sequence-to-sequence Transformer with greedy decoding."""
 
+    #: The top-level submodules :meth:`encode` reads.  A change to any
+    #: other parameter leaves the encoder memory bit-identical, so it can
+    #: be computed once and passed back in as ``memory``.
+    encoder_modules = ("src_embed", "encoder")
+
     def __init__(self, config: Optional[TransformerConfig] = None,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -177,9 +182,14 @@ class Transformer(Module):
             x = layer(x, memory, tgt_mask, memory_mask)
         return x
 
-    def forward(self, src_ids: np.ndarray, tgt_ids: np.ndarray) -> Tensor:
-        """Teacher-forced logits: (B, T_tgt, tgt_vocab)."""
-        memory = self.encode(src_ids)
+    def forward(self, src_ids: np.ndarray, tgt_ids: np.ndarray,
+                memory: Optional[Tensor] = None) -> Tensor:
+        """Teacher-forced logits: (B, T_tgt, tgt_vocab).
+
+        ``memory`` is a precomputed ``encode(src_ids)``; ``None`` encodes.
+        """
+        if memory is None:
+            memory = self.encode(src_ids)
         return self.generator(self.decode(memory, src_ids, tgt_ids))
 
     # ------------------------------------------------------------- decoding
@@ -324,19 +334,22 @@ class Transformer(Module):
 
     def greedy_decode(self, src_ids: np.ndarray,
                       max_len: Optional[int] = None,
-                      use_cache: bool = True) -> np.ndarray:
+                      use_cache: bool = True,
+                      memory: Optional[Tensor] = None) -> np.ndarray:
         """Batched greedy decoding; returns (B, <=max_len) token ids
         (without BOS, truncated at EOS per sequence).
 
         ``use_cache=True`` (the default) runs the KV-cached incremental
         path (:meth:`decode_step`); ``use_cache=False`` re-decodes the
-        full prefix each step (the naive reference).
+        full prefix each step (the naive reference).  ``memory`` is a
+        precomputed eval-mode ``encode(src_ids)``; ``None`` encodes.
         """
         cfg = self.config
         max_len = max_len or cfg.max_len
         batch = src_ids.shape[0]
         with no_grad():
-            memory = self.encode(src_ids)
+            if memory is None:
+                memory = self.encode(src_ids)
             tokens = np.full((batch, 1), cfg.bos_id, dtype=np.int64)
             finished = np.zeros(batch, dtype=bool)
             cache = DecoderKVCache(len(self.decoder)) if use_cache else None

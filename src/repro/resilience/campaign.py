@@ -7,7 +7,9 @@ field | BER, seed) combination.  Each cell:
 1. loads the cached FP32 checkpoint and post-training-quantizes every
    target weight tensor (float64 grid values + fitted adaptive params,
    so the bit codec round-trips exactly);
-2. records the clean quantized probe logits and task score;
+2. records the clean quantized probe logits and task score (steps 1-2
+   are the cell's *clean context*, which :func:`run` builds once and
+   shares across all the cells of one format);
 3. runs ``trials`` seeded injection events — each picks a weight tensor
    (probability proportional to its stored bit count, i.e. flips land
    uniformly over the weight memory), produces the corrupted tensor, and
@@ -36,6 +38,19 @@ through the same draws):
   faults score as clean*; see ``docs/resilience.md``).  Only score
   aggregates can differ from the naive loop, and only on masked trials.
 
+The engine loop also computes each fault-free result once.  A fault
+outside an encoder-decoder model's ``encoder_modules`` cannot change the
+encoder's output, so such a trial passes the clean encoder memories of
+the probe and eval batches to the probe forward and the task evaluation
+instead of re-encoding, and splices in the clean encoder pass's
+sanitizer findings (exact: ``encode`` reads only those modules and runs
+in eval mode on the same inputs with the same kernels).  Inside
+:func:`run`, consecutive cells of one (profile, model, format, bits)
+share one clean context — checkpoint load, PTQ, :class:`TrialEngine`,
+clean logits, score, findings and memories — through a one-entry memo
+that is dropped when ``run`` returns; every trial restores the shared
+model's parameters, also when it raises.
+
 A cell's trials are additionally **sharded**: ``run`` splits them into
 contiguous seeded chunks dispatched through
 :func:`repro.experiments.runner.run_cells`, so ``jobs`` parallelism
@@ -56,15 +71,18 @@ run that computed them; the campaign's own ``timing`` is measured by
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import threading
+from typing import (Any, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from .. import nn, obs
 from ..obs import clock
 from ..analysis import format_table, save_result
-from ..cache import content_key
+from ..cache import cache_dir, content_key
 from ..formats import FORMAT_NAMES, make_quantizer
 from ..formats.base import AdaptiveQuantizer
 from ..nn.quantize import DEFAULT_QUANTIZED_LAYERS, _target_modules
@@ -160,17 +178,48 @@ def _quantize_targets(model: nn.Module, format_name: str,
     return quantized
 
 
-def _probe_logits(model_name: str, model: nn.Module, batch: Any) -> np.ndarray:
-    """Raw output logits on the fixed probe batch (no sampling/decoding)."""
+def _encoder_input(model_name: str, batch: Any) -> np.ndarray:
+    """The array an encoder-decoder model's ``encode`` reads from ``batch``."""
+    return batch.src if model_name == "transformer" else batch.frames
+
+
+def _probe_logits(model_name: str, model: nn.Module, batch: Any,
+                  memory: Optional[nn.Tensor] = None) -> np.ndarray:
+    """Raw output logits on the fixed probe batch (no sampling/decoding).
+
+    ``memory`` is the batch's clean encoder memory, passed when the
+    encoder's weights are clean; ``None`` runs the full forward.
+    """
     model.eval()
     with nn.no_grad():
-        if model_name == "transformer":
-            out = model(batch.src, batch.tgt_in)
-        elif model_name == "seq2seq":
-            out = model(batch.frames, batch.tgt_in)
-        else:
+        if model_name == "resnet":
             out = model(batch.images)
+        else:
+            out = model(_encoder_input(model_name, batch), batch.tgt_in,
+                        memory=memory)
     return np.asarray(out.data, dtype=np.float64)
+
+
+def _clean_memory(model: nn.Module, source: np.ndarray) -> nn.Tensor:
+    """``model.encode(source)`` as the probe's full forward computes it.
+
+    Eval mode, ``no_grad``, and the root module on an active sanitizer's
+    module stack (where ``model.__call__`` would have pushed it), so the
+    findings and the memory both equal the full forward's.  The memory's
+    array is made read-only: every trial of a shared context reads it.
+    """
+    model.eval()
+    state = nn.sanitize.current_state()
+    if state is not None:
+        state.push_module(model)
+    try:
+        with nn.no_grad():
+            memory = model.encode(source)
+    finally:
+        if state is not None:
+            state.pop_module()
+    memory.data.setflags(write=False)
+    return memory
 
 
 def _finite(value: float) -> Optional[float]:
@@ -196,23 +245,32 @@ class _SingleParameter:
         return iter(self._items)
 
 
-class _CellContext:
-    """Everything a trial loop needs, built once per cell/chunk/process.
+class _CleanContext:
+    """The fault-free half of a cell: everything its trials share.
 
-    The engine variant additionally carries the :class:`TrialEngine`
-    (packed words + clean decoded basis per target), the clean
-    :func:`repro.nn.scan_parameters` findings per parameter, and
+    Depends only on (profile, model, format, bits) and the loop kind, so
+    :func:`run` builds it once for all the cells of one format (see
+    :func:`_clean_context`): the PTQ'd model, the clean probe logits and
+    task score, and for the engine loop the :class:`TrialEngine` (packed
+    words + clean decoded basis per target), the clean
+    :func:`repro.nn.scan_parameters` findings per parameter and
     single-parameter scan views — so a trial rescans only the corrupted
     tensor yet reproduces the full-scan findings list exactly (findings
     concatenate in ``named_parameters`` order either way).
+
+    The engine variant of an encoder-decoder model also holds the clean
+    encoder memories of the probe batch and of the eval batch, and the
+    sanitizer findings of the clean probe encoding; a trial whose target
+    lies outside the model's ``encoder_modules`` passes them on instead
+    of re-encoding (:meth:`reuses_memory`).
     """
 
     def __init__(self, cell: Dict, engine: bool, scoring: bool = True) -> None:
-        self.cell = cell
+        model_name = cell["model"]
         self.prof = PROFILES[cell["profile"]]
-        self.bundle = get_bundle(cell["model"])
+        self.bundle = get_bundle(model_name)
         base_model, self.task, self.fp32_score = trained_model(
-            cell["model"], cell["profile"])
+            model_name, cell["profile"])
         base_state = base_model.state_dict()
 
         self.quantized = _quantize_targets(base_model, cell["format"],
@@ -226,13 +284,26 @@ class _CellContext:
 
         self.model, _ = self.bundle.build()
         self.model.load_state_dict(self.clean_state)
+        self.encoder_modules = frozenset(
+            getattr(self.model, "encoder_modules", ()))
+        self.probe_memory = self.eval_memory = None
+        self.encoder_findings: List = []
         if scoring:
             self.probe_batch = self.task.eval_set(_PROBE_SIZE)
-            self.clean_logits = _probe_logits(cell["model"], self.model,
+            self.clean_logits = _probe_logits(model_name, self.model,
                                               self.probe_batch)
             self.clean_argmax = np.argmax(self.clean_logits, axis=-1)
             self.clean_score = self.bundle.evaluate(self.model, self.task,
                                                     self.prof.eval_size)
+            if engine and self.encoder_modules:
+                with nn.Sanitizer(self.model) as report:
+                    self.probe_memory = _clean_memory(
+                        self.model, _encoder_input(model_name,
+                                                   self.probe_batch))
+                self.encoder_findings = list(report.findings)
+                self.eval_memory = _clean_memory(
+                    self.model, _encoder_input(
+                        model_name, self.task.eval_set(self.prof.eval_size)))
         else:
             self.probe_batch = None
             self.clean_logits = self.clean_argmax = None
@@ -246,13 +317,7 @@ class _CellContext:
         self.word_weights = sizes / sizes.sum()
         self.register_weights = np.full(len(self.names),
                                         1.0 / len(self.names))
-
         self.quantizer = make_quantizer(cell["format"], int(cell["bits"]))
-        self.hash = _cell_hash(cell)
-        self.field = cell["field"]
-        self.ber = cell.get("ber")
-        self.n_flips = int(cell.get("n_flips", 1))
-        self.seed = int(cell["seed"])
 
         self.engine: Optional[TrialEngine] = None
         if engine:
@@ -267,10 +332,15 @@ class _CellContext:
                 name: _SingleParameter(name, self.model.get_parameter(name))
                 for name in self.names}
 
-    def pick_target(self, rng: np.random.Generator) -> str:
-        weights = (self.register_weights if self.field == REGISTER_FIELD
+    def pick_target(self, rng: np.random.Generator, field: str) -> str:
+        weights = (self.register_weights if field == REGISTER_FIELD
                    else self.word_weights)
         return self.names[int(rng.choice(len(self.names), p=weights))]
+
+    def reuses_memory(self, target: str) -> bool:
+        """Whether a fault in ``target`` leaves the encoder memory clean."""
+        return (self.probe_memory is not None
+                and target.split(".", 1)[0] not in self.encoder_modules)
 
     def scan_with_fault(self, target: str) -> List:
         """Full-model scan findings with only ``target`` corrupted.
@@ -290,6 +360,62 @@ class _CellContext:
         return findings
 
 
+class _CellFaults(NamedTuple):
+    """The per-cell trial parameters: which faults a cell's trials draw."""
+
+    field: str
+    ber: Optional[float]
+    n_flips: int
+    seed: int
+    hash: int
+
+    @classmethod
+    def of(cls, cell: Dict) -> "_CellFaults":
+        return cls(field=cell["field"], ber=cell.get("ber"),
+                   n_flips=int(cell.get("n_flips", 1)),
+                   seed=int(cell["seed"]), hash=_cell_hash(cell))
+
+
+#: The engine loop's one-entry memo of its last clean context, per
+#: thread: ``contexts`` is a ``{key: _CleanContext}`` dict inside
+#: :func:`_shared_clean_contexts`, and absent otherwise.  It lives here,
+#: not in an argument, because ``run_cells`` takes a module-level
+#: function of the cell alone (lint rule PK001).
+_MEMO = threading.local()
+
+
+@contextlib.contextmanager
+def _shared_clean_contexts() -> Iterator[None]:
+    """Let the engine chunks run on this thread inside the block share
+    clean contexts (one at a time); the memo is dropped on exit."""
+    _MEMO.contexts = {}
+    try:
+        yield
+    finally:
+        del _MEMO.contexts
+
+
+def _clean_context(cell: Dict, engine: bool) -> _CleanContext:
+    """The clean context for ``cell``, shared across cells inside ``run``.
+
+    The key holds everything the clean state depends on: the artifact
+    cache (the checkpoint), profile, model, format, bits and loop kind.
+    Outside :func:`_shared_clean_contexts` (which :func:`run` opens), and
+    always for the naive reference loop, every call builds a fresh
+    context.
+    """
+    contexts = getattr(_MEMO, "contexts", None)
+    if contexts is None or not engine:
+        return _CleanContext(cell, engine)
+    key = (str(cache_dir()), cell["profile"], cell["model"], cell["format"],
+           int(cell["bits"]), engine)
+    ctx = contexts.get(key)
+    if ctx is None:
+        contexts.clear()  # free the previous model before building
+        ctx = contexts[key] = _CleanContext(cell, engine)
+    return ctx
+
+
 # ---------------------------------------------------------------- trial loops
 def run_chunk(cell: Dict) -> Dict:
     """Compute one shard of a cell's trials (the ``run_cells`` worker).
@@ -307,7 +433,8 @@ def run_chunk(cell: Dict) -> Dict:
     start = int(cell.get("trial_start", 0))
     count = int(cell.get("trial_count", trials - start))
     use_engine = bool(cell.get("engine", True))
-    ctx = _CellContext(cell, engine=use_engine)
+    ctx = _clean_context(cell, use_engine)
+    faults = _CellFaults.of(cell)
 
     detected = corrupted = sdc = nonfinite = masked = 0
     detected_kinds: Dict[str, int] = {}
@@ -317,9 +444,10 @@ def run_chunk(cell: Dict) -> Dict:
     flips_total = 0
     t0 = clock.now()
     for trial in range(start, start + count):
-        rng = fresh_rng([ctx.seed, ctx.hash, trial])
-        target = ctx.pick_target(rng)
+        rng = fresh_rng([faults.seed, faults.hash, trial])
+        target = ctx.pick_target(rng, faults.field)
         restore = None
+        reuse = ctx.reuses_memory(target)  # only the engine loop has memories
         # An injected fault is *supposed* to be able to overflow float32
         # and poison the forward pass — suppress numpy's FP warnings here
         # and let the sanitizer report the damage semantically instead.
@@ -327,20 +455,26 @@ def run_chunk(cell: Dict) -> Dict:
             if use_engine:
                 with np.errstate(all="ignore"):
                     faulty, n_flips = ctx.engine.faulty_tensor(
-                        target, rng, ctx.field, n_flips=ctx.n_flips,
-                        ber=ctx.ber)
+                        target, rng, faults.field, n_flips=faults.n_flips,
+                        ber=faults.ber)
                 flips_total += n_flips
                 restore = ctx.model.swap_parameter(target, faulty)
                 with np.errstate(all="ignore"):
                     findings = ctx.scan_with_fault(target)
                     with nn.Sanitizer(ctx.model) as report:
-                        logits = _probe_logits(cell["model"], ctx.model,
-                                               ctx.probe_batch)
+                        if reuse:
+                            # the clean encoder pass's findings come
+                            # first, as a full forward emits them
+                            report.findings.extend(ctx.encoder_findings)
+                        logits = _probe_logits(
+                            cell["model"], ctx.model, ctx.probe_batch,
+                            memory=ctx.probe_memory if reuse else None)
             else:
                 values, params = ctx.quantized[target]
                 result = inject_tensor(ctx.quantizer, values, params, rng,
-                                       field=ctx.field, n_flips=ctx.n_flips,
-                                       ber=ctx.ber)
+                                       field=faults.field,
+                                       n_flips=faults.n_flips,
+                                       ber=faults.ber)
                 flips_total += result.n_flips
                 faulty_state = dict(ctx.clean_state)
                 with np.errstate(all="ignore"):
@@ -376,9 +510,10 @@ def run_chunk(cell: Dict) -> Dict:
                 # probe, so score it as clean instead of re-evaluating.
                 score = float(ctx.clean_score)
             else:
+                reused = {"memory": ctx.eval_memory} if reuse else {}
                 with np.errstate(all="ignore"):
-                    score = float(ctx.bundle.evaluate(ctx.model, ctx.task,
-                                                      ctx.prof.eval_size))
+                    score = float(ctx.bundle.evaluate(
+                        ctx.model, ctx.task, ctx.prof.eval_size, **reused))
             if np.isfinite(score):
                 scores.append(score)
             else:
@@ -542,10 +677,11 @@ def run(profile: str = "fast", models: Sequence[str] = ("transformer",),
                         trial_count=c)
                    for cell in cells for (s, c) in ranges]
     computed: set = set()
-    chunk_results = run_cells(run_chunk, chunk_cells, jobs=jobs,
-                              cache_namespace=f"resilience_{profile}",
-                              cache_salt=_CACHE_SALT,
-                              on_computed=computed.add)
+    with _shared_clean_contexts():
+        chunk_results = run_cells(run_chunk, chunk_cells, jobs=jobs,
+                                  cache_namespace=f"resilience_{profile}",
+                                  cache_salt=_CACHE_SALT,
+                                  on_computed=computed.add)
     per_cell = len(ranges)
     results = [_merge_chunks(cell, chunk_results[i * per_cell:
                                                  (i + 1) * per_cell])
@@ -618,19 +754,21 @@ def measure_injection_throughput(profile: str = "tiny",
             "format": format_name, "bits": int(bits), "field": field,
             "ber": ber, "n_flips": int(n_flips), "trials": int(trials),
             "seed": int(seed)}
-    ctx = _CellContext(cell, engine=bool(engine), scoring=False)
+    ctx = _CleanContext(cell, engine=bool(engine), scoring=False)
+    faults = _CellFaults.of(cell)
 
     flips_total = 0
     findings_total = 0
     digests: List[str] = []
     t0 = clock.now()
     for trial in range(int(trials)):
-        rng = fresh_rng([ctx.seed, ctx.hash, trial])
-        target = ctx.pick_target(rng)
+        rng = fresh_rng([faults.seed, faults.hash, trial])
+        target = ctx.pick_target(rng, faults.field)
         if engine:
             with np.errstate(all="ignore"):
                 faulty, n_flips_actual = ctx.engine.faulty_tensor(
-                    target, rng, ctx.field, n_flips=ctx.n_flips, ber=ctx.ber)
+                    target, rng, faults.field, n_flips=faults.n_flips,
+                    ber=faults.ber)
             restore = ctx.model.swap_parameter(target, faulty)
             findings = ctx.scan_with_fault(target)
             if checksums:
@@ -642,8 +780,9 @@ def measure_injection_throughput(profile: str = "tiny",
             values, params = ctx.quantized[target]
             with np.errstate(all="ignore"):
                 result = inject_tensor(ctx.quantizer, values, params, rng,
-                                       field=ctx.field, n_flips=ctx.n_flips,
-                                       ber=ctx.ber)
+                                       field=faults.field,
+                                       n_flips=faults.n_flips,
+                                       ber=faults.ber)
                 faulty_state = dict(ctx.clean_state)
                 faulty_state[target] = np.asarray(result.values,
                                                   dtype=np.float32)

@@ -40,6 +40,15 @@ class TestCommon:
         assert common.get_bundle("transformer").failure_score() == 0.0
         assert math.isinf(common.get_bundle("seq2seq").failure_score())
 
+    @pytest.mark.parametrize("name", common.MODEL_NAMES)
+    @pytest.mark.parametrize("training", [True, False])
+    def test_evaluate_restores_the_callers_mode(self, name, training):
+        bundle = common.get_bundle(name)
+        model, task = bundle.build()
+        model.train(training)
+        bundle.evaluate(model, task, 4)
+        assert {m.training for m in model.modules()} == {training}
+
 
 class TestDrivers:
     def test_table1(self):

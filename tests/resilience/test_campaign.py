@@ -8,8 +8,10 @@ live in the committed ``BENCH_resilience.json`` at the 'fast' profile.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.experiments.common import get_bundle
 from repro.resilience import campaign
 
 FORMATS = ("adaptivfloat", "float")
@@ -131,3 +133,96 @@ class TestCampaign:
         assert "Resilience - transformer" in text
         for fmt in FORMATS:
             assert fmt in text
+
+
+class TestSharedCleanContext:
+    """One clean context per (format, bits) inside a run, kept clean."""
+
+    CELL = {"table": "resilience", "profile": "tiny",
+            "model": "transformer", "format": "float", "bits": 8,
+            "field": "exponent", "ber": None, "n_flips": 1, "trials": 6,
+            "seed": 0}
+
+    @staticmethod
+    def _assert_clean(ctx):
+        for name, param in ctx.model.named_parameters():
+            assert param.data.dtype == np.float32
+            assert param.data.tobytes() == ctx.clean_state[name].tobytes(), \
+                name
+
+    def _checked_chunks(self, monkeypatch):
+        """Wrap run_chunk: after every chunk (raising or not), the shared
+        context's parameters must be byte-equal to its clean state."""
+        original = campaign.run_chunk
+        seen = []
+
+        def checked(cell):
+            try:
+                return original(cell)
+            finally:
+                (ctx,) = campaign._MEMO.contexts.values()
+                self._assert_clean(ctx)
+                seen.append(ctx)
+
+        monkeypatch.setattr(campaign, "run_chunk", checked)
+        return seen
+
+    def test_cells_of_one_format_load_the_checkpoint_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CELL_CACHE", "0")
+        loads = []
+        original = campaign.trained_model
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "trained_model", counting)
+        seen = self._checked_chunks(monkeypatch)
+        result = campaign.run(profile="tiny", models=("transformer",),
+                              formats=("float",), bits=8,
+                              fields=("any", "exponent"), trials=3, seed=0,
+                              shards=2)
+        # run()'s checkpoint warm-up, then one clean context for 4 chunks
+        assert len(loads) == 2
+        assert len(seen) == 4 and len({id(ctx) for ctx in seen}) == 1
+        assert result["models"]["transformer"]["formats"]["float"][
+            "exponent"]["trials"] == 3
+        assert getattr(campaign._MEMO, "contexts", None) is None
+
+    def test_parameters_stay_clean_after_a_raising_trial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CELL_CACHE", "0")
+        seen = self._checked_chunks(monkeypatch)
+        campaign.trained_model("transformer", "tiny")  # train outside
+        bundle = get_bundle("transformer")
+        original = bundle.evaluate
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(kwargs)
+            if len(calls) > 1:  # the clean score is the first call
+                raise RuntimeError("evaluation failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bundle, "evaluate", failing)
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            campaign.run(profile="tiny", models=("transformer",),
+                         formats=("float",), bits=8, fields=("exponent",),
+                         trials=6, seed=0)
+        assert len(seen) == 1 and len(calls) == 2
+        assert getattr(campaign._MEMO, "contexts", None) is None
+
+    def test_memo_is_keyed_on_the_cache_dir(self, monkeypatch, tmp_path):
+        cell = dict(self.CELL, engine=True)
+        with campaign._shared_clean_contexts():
+            first = campaign._clean_context(cell, True)
+            assert campaign._clean_context(
+                dict(cell, field="any", seed=5), True) is first
+            assert campaign._clean_context(cell, False) is not first
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+            moved = campaign._clean_context(cell, True)
+            assert moved is not first
+            assert list(campaign._MEMO.contexts.values()) == [moved]
+        assert getattr(campaign._MEMO, "contexts", None) is None
+        # outside run() nothing is shared
+        assert campaign._clean_context(cell, True) \
+            is not campaign._clean_context(cell, True)

@@ -25,6 +25,8 @@ from repro.formats import FORMAT_NAMES, make_quantizer
 from repro.formats.base import AdaptiveQuantizer
 from repro.formats.codec import (MAX_DECODE_LUT_BITS, decode_lut,
                                  decode_tensor, decode_words)
+from repro.nn import sanitize
+from repro.nn.models import Seq2Seq, Transformer
 from repro.resilience import campaign
 from repro.resilience.engine import TrialEngine
 from repro.resilience.inject import inject_tensor, register_spec
@@ -174,6 +176,48 @@ class TestCampaignEquivalence:
                     "fp32_score"):
             assert eng[key] == naive[key], (fmt, field, key)
         assert 0.0 <= eng["masked_probe_rate"] <= 1.0
+
+    @pytest.mark.parametrize("model,fmt,field,seed", [
+        ("transformer", "float", "exponent", 0),
+        ("seq2seq", "adaptivfloat", "exponent", 3)])
+    def test_encoder_memory_reuse_scores_exactly(self, monkeypatch, model,
+                                                 fmt, field, seed):
+        """Trials on decoder-side targets reuse the clean encoder memory
+        in the probe and the evaluation; with no masked trial every score
+        is computed, so the engine's scores must equal the naive loop's.
+        The probe's findings must include the encoder's, under the same
+        layer name, whether the trial re-encodes or reuses."""
+        cell = dict(TINY_CELL, model=model, format=fmt, field=field,
+                    trials=6, seed=seed)
+        reused = []
+        original = campaign._CleanContext.reuses_memory
+
+        def spy(ctx, target):
+            reused.append(original(ctx, target))
+            return reused[-1]
+
+        monkeypatch.setattr(campaign._CleanContext, "reuses_memory", spy)
+        # A clean encoder emits no finding, so make it emit one per call.
+        model_cls = {"transformer": Transformer, "seq2seq": Seq2Seq}[model]
+        encode = model_cls.encode
+
+        def emitting(self, source):
+            state = sanitize.current_state()
+            if state is not None:
+                layer = state.current_layer()
+                state.emit(f"encode@{layer}", "encode", layer, "", {})
+            return encode(self, source)
+
+        monkeypatch.setattr(model_cls, "encode", emitting)
+        eng = campaign.run_chunk(dict(cell, engine=True))
+        naive = campaign.run_chunk(dict(cell, engine=False))
+        assert True in reused and False in reused  # both kinds of target
+        assert eng["masked"] == 0
+        assert eng["detected_kinds"][f"encode@{model_cls.__name__}"] == 6
+        assert _strip_timing(eng) == _strip_timing(naive)
+        eng, naive = (campaign._merge_chunks(cell, [c]) for c in (eng, naive))
+        assert eng["mean_score"] == naive["mean_score"]
+        assert eng["worst_score"] == naive["worst_score"]
 
     def test_trial_count_defaults_cover_remainder(self):
         whole = campaign.run_chunk(dict(TINY_CELL, engine=True))
