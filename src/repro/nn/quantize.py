@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
@@ -88,8 +87,9 @@ class WeightFakeQuant:
     optimizer bumps the version on every step — re-quantizes after every
     update.  The contract: any code replacing ``param.data`` must call
     ``param.bump_version()`` (all in-repo sites do); mutating the array
-    *in place* without a bump is outside the contract.  Set the
-    ``REPRO_NO_WQCACHE`` environment variable to disable memoization.
+    *in place* without a bump is outside the contract.  A weight without
+    a version (a plain :class:`~repro.nn.tensor.Tensor`) is quantized on
+    every call.
 
     ``hits`` / ``misses`` count cache outcomes for reporting and tests
     (see :func:`weight_quant_cache_stats`).
@@ -104,7 +104,7 @@ class WeightFakeQuant:
 
     def _quantized(self, weight: Tensor) -> np.ndarray:
         version = getattr(weight, "version", None)
-        if version is None or os.environ.get("REPRO_NO_WQCACHE"):
+        if version is None:
             self.misses += 1
             _WQ_MISS.inc()
             return self.quantizer.quantize(weight.data)

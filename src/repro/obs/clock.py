@@ -12,11 +12,12 @@ Every serving/resilience component now reads :func:`now` instead, which
 makes the domain single by construction *and* injectable: tests swap in
 a :class:`ManualClock` (via :func:`set_source` or the :func:`patched`
 context manager) and drive deadline / breaker-dwell arithmetic
-deterministically instead of sleeping.
+deterministically instead of sleeping; :func:`sleep` (retry backoff)
+advances a :class:`ManualClock` instead of blocking.
 
 ``tests/obs/test_clock.py`` enforces the seam with a source scan: the
-serving/resilience modules must not call ``time.monotonic()`` or
-``time.perf_counter()`` directly.
+serving/resilience modules must not call ``time.monotonic()``,
+``time.perf_counter()`` or ``time.sleep()`` directly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import contextlib
 import time
 from typing import Callable, Iterator
 
-__all__ = ["ManualClock", "now", "patched", "reset_source", "set_source"]
+__all__ = ["ManualClock", "now", "patched", "reset_source", "set_source",
+           "sleep"]
 
 #: The active time source.  Defaults to ``time.monotonic`` — the clock
 #: the stdlib recommends for interval/deadline arithmetic (unaffected by
@@ -36,6 +38,15 @@ _source: Callable[[], float] = time.monotonic
 def now() -> float:
     """Seconds on the injected monotonic clock."""
     return _source()
+
+
+def sleep(seconds: float) -> None:
+    """Advance a :class:`ManualClock` source by ``seconds``, else sleep."""
+    source = _source
+    if isinstance(source, ManualClock):
+        source.advance(seconds)
+    else:
+        time.sleep(seconds)
 
 
 def set_source(source: Callable[[], float]) -> None:

@@ -115,14 +115,16 @@ class _GaugeChild(_Child):
             if value > self.value:
                 self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1.0) -> float:
+        """Add ``amount``; returns the value this call left behind."""
         if not self._registry._enabled:
-            return
+            return self.value
         with self._lock:
             self.value += amount
+            return self.value
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
+    def dec(self, amount: float = 1.0) -> float:
+        return self.inc(-amount)
 
 
 class _HistogramChild(_Child):

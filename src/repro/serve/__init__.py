@@ -15,10 +15,10 @@ request throughput:
   padded decode is token-identical to serial one-request-at-a-time
   decode (bit-exact under ``deterministic_matmul``).
 * :class:`ServerStats` (``stats``) — p50/p95/p99 latency, queue depth,
-  batch-size histogram, weight-cache hit counters, scrub/fault/retry
-  counters and the degradation state; every event also mirrors into the
-  process-wide :mod:`repro.obs` registry, and ``snapshot()`` embeds the
-  registry dump.
+  batch-size histogram, scrub/fault/retry counters and the degradation
+  state; the counts live only in the process-wide :mod:`repro.obs`
+  registry under a per-server ``server`` label, and ``snapshot()``
+  reads them back.
 * ``resilient`` — the self-healing policy layer
   (:class:`ResilienceConfig`, :class:`CircuitBreaker`): golden-copy
   weight scrubbing via :mod:`repro.resilience.scrub`, Sanitizer-backed

@@ -319,13 +319,15 @@ def measure_obs_overhead(model: str = "transformer",
        registry enabled, the shipping configuration) sets the latency
        budget, and
     2. one request's worth of instrument calls — the ``ServerStats``
-       mirror events plus the three tracer spans the engine emits — is
+       events plus the three tracer spans the engine emits — is
        micro-timed in a tight loop, once with the registry recording
        and once disabled via :func:`repro.obs.disabled` (every
        instrument reduced to one attribute read + branch).  The
-       ``ServerStats`` dict/lock work runs identically on both sides,
-       so the difference isolates the obs mirror: child lock + float
-       adds, span ring appends, histogram bisects.
+       registry is the only store of the serving counts, so the
+       difference is their whole recording cost: child locks + float
+       adds, span ring appends, histogram bisects.  What runs on both
+       sides — the latency-ring appends under their lock and the
+       batch-size child lookup — is not counted.
 
     ``p50_overhead`` is that per-request cost as a fraction of the p50;
     the committed benchmark gates it below 2% (measured well under

@@ -30,7 +30,6 @@ from __future__ import annotations
 import collections
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
@@ -82,6 +81,12 @@ _SWALLOWED = obs.counter(
 
 def _count_swallowed(site: str, error: BaseException) -> None:
     _SWALLOWED.labels(site=site, exc=type(error).__name__).inc()
+
+
+#: The policy of a server built with ``resilience=None``: one attempt
+#: per batch, no scrubbing, no probe, no deadline and no breaker.
+_PLAIN = ResilienceConfig(scrub_interval_s=None, verify_batches=False,
+                          probe=False)
 
 
 class _Pending:
@@ -153,8 +158,8 @@ class InferenceServer:
         quarantining numerically-faulty batches, bounded-backoff batch
         retry after repair, per-request deadlines, and a circuit
         breaker shedding load with :class:`ServerDegraded` after
-        repeated uncorrectable faults.  ``None`` (default) serves
-        exactly as before.
+        repeated uncorrectable faults.  ``None`` (default) runs each
+        batch once, with no scrubber, probe, deadline or breaker.
     metrics_port:
         When not ``None``, start a :class:`~repro.obs.MetricsServer`
         exposing the process metrics registry over HTTP (``/metrics``
@@ -189,6 +194,7 @@ class InferenceServer:
         self.length_bucket = length_bucket
         self.deterministic = deterministic
         self.resilience = resilience
+        self._policy = resilience or _PLAIN
         self._breaker: Optional[CircuitBreaker] = None
         self._scrub_thread: Optional[threading.Thread] = None
         self._scrub_stop = threading.Event()
@@ -228,8 +234,7 @@ class InferenceServer:
         self._scheduler.start()
         for worker in self._workers:
             worker.start()
-        if self.resilience is not None \
-                and self.resilience.scrub_interval_s is not None:
+        if self._policy.scrub_interval_s is not None:
             self._scrub_thread = threading.Thread(
                 target=self._scrub_loop, name="serve-scrubber", daemon=True)
             self._scrub_thread.start()
@@ -332,8 +337,8 @@ class InferenceServer:
         if not self._started:
             raise ServerClosed("server not started; use start() or a "
                                "'with' block")
-        if deadline_s is None and self.resilience is not None:
-            deadline_s = self.resilience.request_deadline_s
+        if deadline_s is None:
+            deadline_s = self._policy.request_deadline_s
         request = Request(kind, payload, max_len=max_len,
                           beam_size=beam_size)
         if self._closed:
@@ -442,26 +447,9 @@ class InferenceServer:
             job = self._batches.get()
             if job is _STOP:
                 return
-            _, pends = job
-            pends = self._drop_expired(pends)
-            if not pends:
-                continue
-            if self.resilience is not None:
+            pends = self._drop_expired(job[1])
+            if pends:
                 self._process_resilient(pends)
-                continue
-            t_batch = clock.now()
-            try:
-                entry = self.pool.get(pends[0].request.model_name)
-                results = self._run_batch(entry, [p.request for p in pends])
-            except BaseException as error:  # resolve, don't kill the worker
-                _count_swallowed("worker.batch", error)
-                for pending in pends:
-                    self._resolve(pending, error=error)
-                continue
-            obs.TRACER.record("serve.batch", t_batch, clock.now(),
-                              trace_id=pends[0].trace_id, size=len(pends))
-            for pending, result in zip(pends, results):
-                self._resolve(pending, result=result)
 
     def _run_batch(self, entry: Any, requests: List[Request]) -> List[Any]:
         if self.deterministic:
@@ -492,7 +480,7 @@ class InferenceServer:
         quarantine-worthy numeric finding (:data:`PROBE_KINDS`) the
         forward produced, or None for a numerically clean batch.
         """
-        cfg = self.resilience
+        cfg = self._policy
         with Sanitizer(entry.model, action="collect",
                        clamp_storm=cfg.clamp_storm) as report:
             results = self._run_batch(entry, requests)
@@ -515,9 +503,10 @@ class InferenceServer:
         forward read corrupted values — a generation change across the
         attempt forces a retry.  Uncorrectable faults (corrupted golden
         copy, retries exhausted) fail the batch with
-        :class:`ServerDegraded` and feed the circuit breaker.
+        :class:`ServerDegraded` and feed the circuit breaker.  With
+        ``resilience=None`` this runs under :data:`_PLAIN`, unscrubbed.
         """
-        cfg = self.resilience
+        cfg = self._policy
         try:
             entry = self.pool.get(pends[0].request.model_name)
         except BaseException as error:
@@ -525,7 +514,7 @@ class InferenceServer:
             for pending in pends:
                 self._resolve(pending, error=error)
             return
-        scrubber = entry.scrubber
+        scrubber = entry.scrubber if self.resilience is not None else None
         attempt = 0
         live = pends
         while True:
@@ -601,7 +590,7 @@ class InferenceServer:
             self.stats.record_retry()
             backoff = cfg.backoff(attempt - 1)
             if backoff > 0:
-                time.sleep(backoff)
+                clock.sleep(backoff)
 
     def _fail_degraded(self, pends: List[_Pending],
                        error: ServerDegraded) -> None:
@@ -612,12 +601,11 @@ class InferenceServer:
             self._resolve(pending, error=error)
 
     def _sync_degradation(self) -> None:
-        state = self._breaker.state
-        self.stats.set_degradation("ok" if state == "closed" else state)
+        self.stats.set_degradation(self._breaker.state)
 
     def _scrub_loop(self) -> None:
         """Periodic golden-copy sweep over every pooled model."""
-        interval = self.resilience.scrub_interval_s
+        interval = self._policy.scrub_interval_s
         while not self._scrub_stop.wait(interval):
             for scrubber in self.pool.scrubbers().values():
                 report = scrubber.scrub(reason="periodic")

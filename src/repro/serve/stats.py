@@ -1,4 +1,4 @@
-"""Thread-safe serving metrics: counters, latency percentiles, histograms.
+"""Per-server serving metrics: a view over the :mod:`repro.obs` registry.
 
 The paper motivates AdaptivFloat by the efficiency of *deployed*
 inference (Table 4 budgets 81.2 us per inference on the accelerator);
@@ -7,22 +7,23 @@ would: request/batch counters, queue-depth high-water marks, a
 batch-size histogram (how well the scheduler coalesces), and latency
 percentiles split into queue wait vs. total.
 
-All mutation goes through one lock; reads (:meth:`ServerStats.snapshot`)
-produce a plain JSON-safe dict so benchmarks can embed it verbatim in
-``BENCH_serve.json``.
-
-Every ``record_*`` call is also mirrored into the process-wide
-:mod:`repro.obs` registry (``repro_serve_*`` families), so the same
-events that feed this per-server snapshot are scrapeable via the
-Prometheus/JSON exporters; :meth:`ServerStats.snapshot` embeds the
-registry dump under the ``"obs"`` key.  With the registry disabled the
-mirror costs one branch per event.
+The process-wide registry is the only store of these counts.  Each
+:class:`ServerStats` takes a process-unique ``server`` id, resolves its
+children of the ``repro_serve_*`` families once and writes each event
+once, into them; :meth:`ServerStats.snapshot` reads them back into a
+JSON-safe dict (``BENCH_serve.json`` embeds it verbatim), with this
+server's series under ``"obs"``.  Only the :class:`LatencyRecorder`
+rings, the exact windowed p50/p95/p99 that histogram buckets can only
+bound, live outside the registry, under one lock.  With the registry
+disabled (``REPRO_OBS=0`` or :func:`repro.obs.disabled`) every count in
+the snapshot reads 0 and the degradation state ``"ok"``.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -36,66 +37,67 @@ __all__ = ["LatencyRecorder", "ServerStats"]
 #: new samples overwrite the oldest — percentile estimates stay recent).
 _SAMPLE_CAP = 100_000
 
-# ---- process-wide obs mirror of the per-server counters ----------------
+# ---- the per-server families, every one labeled by ``server`` ----------
 _REQUESTS = obs.counter(
-    "repro_serve_requests_total",
-    "Request lifecycle events across every InferenceServer in the "
-    "process.", ("event",))
-_REQ_SUBMITTED = _REQUESTS.labels(event="submitted")
-_REQ_COMPLETED = _REQUESTS.labels(event="completed")
-_REQ_FAILED = _REQUESTS.labels(event="failed")
-_REQ_REJECTED = _REQUESTS.labels(event="rejected")
-_REQ_DEADLINE = _REQUESTS.labels(event="deadline_expired")
-_REQ_DEGRADED = _REQUESTS.labels(event="degraded_rejected")
+    "repro_serve_requests_total", "Request lifecycle events by server.",
+    ("server", "event"))
 _QUEUE_DEPTH = obs.gauge(
     "repro_serve_queue_depth", "In-flight requests (submitted, not yet "
-    "resolved), summed over servers.")
+    "resolved).", ("server",))
 _QUEUE_PEAK = obs.gauge(
-    "repro_serve_queue_depth_peak", "High-water mark of any one server's "
-    "queue depth.")
+    "repro_serve_queue_depth_peak", "High-water mark of the queue depth.",
+    ("server",))
 _BATCHES = obs.counter(
     "repro_serve_batches_total", "Micro-batches dispatched by the "
-    "scheduler.")
+    "scheduler, by exact batch size.", ("server", "size"))
 _BATCH_SIZE = obs.histogram(
     "repro_serve_batch_size", "Requests coalesced per dispatched "
-    "micro-batch.", buckets=SIZE_BUCKETS)
+    "micro-batch.", ("server",), buckets=SIZE_BUCKETS)
 _LATENCY = obs.histogram(
     "repro_serve_latency_seconds", "Total request residence time "
-    "(submit to resolve), successful requests only.")
+    "(submit to resolve), successful requests only.", ("server",))
 _QUEUE_WAIT = obs.histogram(
     "repro_serve_queue_wait_seconds", "Submit-to-dispatch wait inside "
-    "the scheduler, successful requests only.")
+    "the scheduler, successful requests only.", ("server",))
 _SCRUB_PASSES = obs.counter(
     "repro_serve_scrubs_total", "Scrub passes observed by serving "
-    "(periodic daemon + on-demand).")
+    "(periodic daemon + on-demand).", ("server",))
 _SCRUB_TENSORS = obs.counter(
     "repro_serve_scrub_tensors_total", "Tensors CRC-checked by scrub "
-    "passes observed by serving.")
+    "passes observed by serving.", ("server",))
 _SCRUB_SECONDS = obs.histogram(
     "repro_serve_scrub_seconds", "Duration of scrub passes observed by "
-    "serving.")
+    "serving.", ("server",))
 _FAULTS = obs.counter(
     "repro_serve_faults_total", "Detected weight/numeric faults by "
-    "detector kind.", ("kind",))
+    "detector kind.", ("server", "kind"))
 _RETRIES = obs.counter(
     "repro_serve_retries_total", "Micro-batch retry attempts after a "
-    "detected-and-repaired fault.")
+    "detected-and-repaired fault.", ("server",))
 _RESTORES = obs.counter(
     "repro_serve_restores_total", "Tensors repaired from golden streams, "
-    "as observed by serving.")
+    "as observed by serving.", ("server",))
 _RECOVERED = obs.counter(
     "repro_serve_recovered_batches_total", "Micro-batches that survived "
-    "a fault through retry.")
+    "a fault through retry.", ("server",))
 _UNCORRECTABLE = obs.counter(
     "repro_serve_uncorrectable_total", "Faults the scrubber could not "
-    "repair (corrupted golden or retries exhausted).")
+    "repair (corrupted golden or retries exhausted).", ("server",))
 _DEGRADATION = obs.gauge(
     "repro_serve_degradation_state", "Circuit-breaker degradation: "
-    "0=ok, 1=half-open, 2=open.")
+    "0=ok, 1=half-open, 2=open.", ("server",))
 
-#: Breaker state -> numeric gauge level.
+_FAMILIES = (_REQUESTS, _QUEUE_DEPTH, _QUEUE_PEAK, _BATCHES, _BATCH_SIZE,
+             _LATENCY, _QUEUE_WAIT, _SCRUB_PASSES, _SCRUB_TENSORS,
+             _SCRUB_SECONDS, _FAULTS, _RETRIES, _RESTORES, _RECOVERED,
+             _UNCORRECTABLE, _DEGRADATION)
+
+#: Breaker state -> numeric gauge level, and the level read back.
 _DEGRADATION_LEVELS = {"ok": 0.0, "closed": 0.0, "half-open": 1.0,
                        "open": 2.0}
+_DEGRADATION_STATES = {0.0: "ok", 1.0: "half-open", 2.0: "open"}
+
+_SERVER_IDS = itertools.count()
 
 
 class LatencyRecorder:
@@ -150,181 +152,174 @@ class LatencyRecorder:
 
 
 class ServerStats:
-    """Aggregated counters for one :class:`~repro.serve.InferenceServer`.
+    """Counters of one :class:`~repro.serve.InferenceServer`, kept in the
+    registry under this instance's ``server`` label.
 
-    ``record_*`` methods are called from client threads (submit), the
-    scheduler (dispatch), and workers (completion); every one takes the
-    internal lock, so a :meth:`snapshot` observes a consistent view.
+    ``record_*`` runs on client, scheduler and worker threads; each
+    child takes its stripe lock, so no count is lost, but a
+    :meth:`snapshot` taken mid-flight reads each count at its own time.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.rejected = 0
-        self.batches = 0
-        self.queue_depth = 0
-        self.queue_depth_peak = 0
-        self.batch_histogram: Dict[int, int] = {}
+        self.server_id = str(next(_SERVER_IDS))
+        me = {"server": self.server_id}
+
+        def event(name: str) -> Any:
+            return _REQUESTS.labels(event=name, **me)
+
+        self._submitted = event("submitted")
+        self._completed = event("completed")
+        self._failed = event("failed")
+        self._rejected = event("rejected")
+        self._deadline = event("deadline_expired")
+        self._degraded = event("degraded_rejected")
+        self._depth = _QUEUE_DEPTH.labels(**me)
+        self._peak = _QUEUE_PEAK.labels(**me)
+        self._batches: Dict[int, Any] = {}  # size -> batches_total child
+        self._batch_size = _BATCH_SIZE.labels(**me)
+        self._latency = _LATENCY.labels(**me)
+        self._queue_wait = _QUEUE_WAIT.labels(**me)
+        self._scrubs = _SCRUB_PASSES.labels(**me)
+        self._scrub_tensors = _SCRUB_TENSORS.labels(**me)
+        self._scrub_seconds = _SCRUB_SECONDS.labels(**me)
+        self._retries = _RETRIES.labels(**me)
+        self._restores = _RESTORES.labels(**me)
+        self._recovered = _RECOVERED.labels(**me)
+        self._uncorrectable = _UNCORRECTABLE.labels(**me)
+        self._degradation = _DEGRADATION.labels(**me)
+        self._lock = threading.Lock()       # guards the two rings
         self.latency = LatencyRecorder()
         self.queue_wait = LatencyRecorder()
-        # ---- resilience (self-healing serving path) --------------------
-        self.scrubs = 0                    # scrub passes (periodic+on-demand)
-        self.scrub_tensors = 0             # tensors CRC-checked
-        self.scrub_time_s = 0.0
-        self.faults_detected = 0
-        self.fault_kinds: Dict[str, int] = {}   # crc / probe / exception
-        self.retries = 0                   # micro-batch retry attempts
-        self.restores = 0                  # tensors repaired from golden
-        self.recovered_batches = 0         # batches that survived a fault
-        self.uncorrectable = 0             # faults the scrubber couldn't fix
-        self.deadline_expired = 0
-        self.degraded_rejections = 0       # submits shed by the breaker
-        self.degradation = "ok"            # "ok" | breaker state when tripped
 
     # ------------------------------------------------------------ mutation
     def record_submit(self) -> None:
-        with self._lock:
-            self.submitted += 1
-            self.queue_depth += 1
-            self.queue_depth_peak = max(self.queue_depth_peak,
-                                        self.queue_depth)
-            peak = self.queue_depth_peak
-        _REQ_SUBMITTED.inc()
-        _QUEUE_DEPTH.inc()
-        _QUEUE_PEAK.set_max(peak)
+        self._submitted.inc()
+        self._peak.set_max(self._depth.inc())
 
     def record_reject(self) -> None:
-        with self._lock:
-            self.rejected += 1
-        _REQ_REJECTED.inc()
+        self._rejected.inc()
 
     def record_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batch_histogram[size] = self.batch_histogram.get(size, 0) + 1
-        _BATCHES.inc()
-        _BATCH_SIZE.observe(size)
+        child = self._batches.get(size)
+        if child is None:               # labels() costs a few us per call
+            child = self._batches[size] = _BATCHES.labels(
+                server=self.server_id, size=size)
+        child.inc()
+        self._batch_size.observe(size)
 
     def record_done(self, latency_s: float, queue_wait_s: float,
                     failed: bool = False) -> None:
-        with self._lock:
-            self.queue_depth -= 1
-            if failed:
-                self.failed += 1
-            else:
-                self.completed += 1
-                self.latency.record(latency_s)
-                self.queue_wait.record(queue_wait_s)
-        _QUEUE_DEPTH.dec()
+        self._depth.dec()
         if failed:
-            _REQ_FAILED.inc()
-        else:
-            _REQ_COMPLETED.inc()
-            _LATENCY.observe(latency_s)
-            _QUEUE_WAIT.observe(queue_wait_s)
+            self._failed.inc()
+            return
+        self._completed.inc()
+        self._latency.observe(latency_s)
+        self._queue_wait.observe(queue_wait_s)
+        with self._lock:
+            self.latency.record(latency_s)
+            self.queue_wait.record(queue_wait_s)
 
     # -------------------------------------------------------- resilience
     def record_scrub(self, checked: int, restored: int, uncorrectable: int,
                      duration_s: float) -> None:
-        with self._lock:
-            self.scrubs += 1
-            self.scrub_tensors += checked
-            self.scrub_time_s += duration_s
-            self.restores += restored
-            self.uncorrectable += uncorrectable
-        _SCRUB_PASSES.inc()
-        _SCRUB_TENSORS.inc(checked)
-        _SCRUB_SECONDS.observe(duration_s)
+        self._scrubs.inc()
+        self._scrub_tensors.inc(checked)
+        self._scrub_seconds.observe(duration_s)
         if restored:
-            _RESTORES.inc(restored)
+            self._restores.inc(restored)
         if uncorrectable:
-            _UNCORRECTABLE.inc(uncorrectable)
+            self._uncorrectable.inc(uncorrectable)
 
     def record_fault(self, kind: str) -> None:
-        with self._lock:
-            self.faults_detected += 1
-            self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + 1
-        _FAULTS.labels(kind=kind).inc()
+        _FAULTS.labels(server=self.server_id, kind=kind).inc()
 
     def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-        _RETRIES.inc()
+        self._retries.inc()
 
     def record_recovered(self) -> None:
-        with self._lock:
-            self.recovered_batches += 1
-        _RECOVERED.inc()
+        self._recovered.inc()
 
     def record_uncorrectable(self) -> None:
-        with self._lock:
-            self.uncorrectable += 1
-        _UNCORRECTABLE.inc()
+        self._uncorrectable.inc()
 
     def record_deadline(self) -> None:
-        with self._lock:
-            self.deadline_expired += 1
-        _REQ_DEADLINE.inc()
+        self._deadline.inc()
 
     def record_degraded_rejection(self) -> None:
-        with self._lock:
-            self.degraded_rejections += 1
-        _REQ_DEGRADED.inc()
+        self._degraded.inc()
 
     def set_degradation(self, state: str) -> None:
-        with self._lock:
-            self.degradation = state
-        _DEGRADATION.set(_DEGRADATION_LEVELS.get(state, 2.0))
+        self._degradation.set(_DEGRADATION_LEVELS.get(state, 2.0))
 
     # ------------------------------------------------------------- reading
+    @property
+    def rejected(self) -> int:
+        return int(self._rejected.value)
+
+    def _mine(self, family: Any, label: str) -> Dict[str, int]:
+        """This server's non-zero counts of ``family``, keyed by ``label``."""
+        return {labels[label]: int(child.value)
+                for labels, child in family.children()
+                if labels["server"] == self.server_id and child.value}
+
+    def _series(self, family: Any) -> Dict[str, Any]:
+        dump = family.to_dict()
+        dump["samples"] = [sample for sample in dump["samples"]
+                           if sample["labels"]["server"] == self.server_id]
+        return dump
+
     def snapshot(self) -> Dict:
         """JSON-safe summary of everything recorded so far.
 
-        The ``"obs"`` key carries the process-wide registry dump
-        (:func:`repro.obs.snapshot`), so any record embedding this
-        snapshot — ``BENCH_serve.json`` in particular — also embeds
-        every metric family in the process.
+        The ``"obs"`` key carries this server's series of every
+        ``repro_serve_*`` family it writes, in the
+        :func:`repro.obs.snapshot` layout; the full registry dump is
+        :func:`repro.obs.snapshot` itself.
         """
-        obs_dump = obs.snapshot()
+        sizes = {int(size): count for size, count
+                 in self._mine(_BATCHES, "size").items()}
+        batches = sum(sizes.values())
+        mean_batch = (sum(size * count for size, count in sizes.items())
+                      / batches) if batches else 0.0
+        fault_kinds = dict(sorted(self._mine(_FAULTS, "kind").items()))
         with self._lock:
-            histogram = {str(size): count for size, count
-                         in sorted(self.batch_histogram.items())}
-            mean_batch = (sum(size * count for size, count
-                              in self.batch_histogram.items())
-                          / self.batches) if self.batches else 0.0
-            return {
-                "requests": {
-                    "submitted": self.submitted,
-                    "completed": self.completed,
-                    "failed": self.failed,
-                    "rejected": self.rejected,
-                },
-                "queue": {
-                    "depth": self.queue_depth,
-                    "depth_peak": self.queue_depth_peak,
-                },
-                "batches": {
-                    "count": self.batches,
-                    "mean_size": round(mean_batch, 3),
-                    "histogram": histogram,
-                },
-                "latency": self.latency.summary(),
-                "queue_wait": self.queue_wait.summary(),
-                "resilience": {
-                    "scrubs": self.scrubs,
-                    "scrub_tensors": self.scrub_tensors,
-                    "scrub_time_s": round(self.scrub_time_s, 6),
-                    "faults_detected": self.faults_detected,
-                    "fault_kinds": dict(sorted(self.fault_kinds.items())),
-                    "retries": self.retries,
-                    "restores": self.restores,
-                    "recovered_batches": self.recovered_batches,
-                    "uncorrectable": self.uncorrectable,
-                    "deadline_expired": self.deadline_expired,
-                    "degraded_rejections": self.degraded_rejections,
-                    "degradation": self.degradation,
-                },
-                "obs": obs_dump,
-            }
+            latency = self.latency.summary()
+            queue_wait = self.queue_wait.summary()
+        return {
+            "requests": {
+                "submitted": int(self._submitted.value),
+                "completed": int(self._completed.value),
+                "failed": int(self._failed.value),
+                "rejected": self.rejected,
+            },
+            "queue": {
+                "depth": int(self._depth.value),
+                "depth_peak": int(self._peak.value),
+            },
+            "batches": {
+                "count": batches,
+                "mean_size": round(mean_batch, 3),
+                "histogram": {str(size): sizes[size]
+                              for size in sorted(sizes)},
+            },
+            "latency": latency,
+            "queue_wait": queue_wait,
+            "resilience": {
+                "scrubs": int(self._scrubs.value),
+                "scrub_tensors": int(self._scrub_tensors.value),
+                "scrub_time_s": round(self._scrub_seconds.sum, 6),
+                "faults_detected": sum(fault_kinds.values()),
+                "fault_kinds": fault_kinds,
+                "retries": int(self._retries.value),
+                "restores": int(self._restores.value),
+                "recovered_batches": int(self._recovered.value),
+                "uncorrectable": int(self._uncorrectable.value),
+                "deadline_expired": int(self._deadline.value),
+                "degraded_rejections": int(self._degraded.value),
+                "degradation": _DEGRADATION_STATES.get(
+                    self._degradation.value, "open"),
+            },
+            "obs": {family.name: self._series(family)
+                    for family in _FAMILIES},
+        }

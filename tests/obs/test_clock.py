@@ -1,7 +1,8 @@
 """The single clock domain: seam behavior plus the regression guards
 that keep serving/resilience timing off raw ``time.monotonic()`` /
 ``time.perf_counter()`` (whose epochs are unrelated — mixing their
-absolute readings in deadline math was the original bug)."""
+absolute readings in deadline math was the original bug) and their
+waits off raw ``time.sleep()``."""
 
 import ast
 import pathlib
@@ -16,7 +17,7 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: Modules whose *absolute* timestamps flow into shared arithmetic
 #: (deadlines, flush timing, breaker dwell, scrub durations).  Raw
 #: stdlib clock calls are banned here; everything reads
-#: ``repro.obs.clock.now()``.
+#: ``repro.obs.clock.now()`` and waits with ``repro.obs.clock.sleep()``.
 SINGLE_CLOCK_MODULES = [
     SRC / "serve" / "engine.py",
     SRC / "serve" / "resilient.py",
@@ -57,6 +58,18 @@ class TestSeam:
         b = clock.now()
         assert b >= a
 
+    def test_sleep_advances_a_manual_clock(self):
+        manual = ManualClock()
+        with clock.patched(manual):
+            clock.sleep(0.25)
+            clock.sleep(0.5)
+        assert manual() == 0.75
+
+    def test_sleep_waits_on_the_default_source(self):
+        before = clock.now()
+        clock.sleep(0.01)
+        assert clock.now() - before >= 0.01
+
 
 class TestSingleClockDomain:
     """Source-scan regression: no raw stdlib clock reads in the modules
@@ -75,12 +88,13 @@ class TestSingleClockDomain:
                     and isinstance(func.value, ast.Name)
                     and func.value.id == "time"
                     and func.attr in ("monotonic", "perf_counter", "time",
-                                      "monotonic_ns", "perf_counter_ns")):
+                                      "monotonic_ns", "perf_counter_ns",
+                                      "sleep")):
                 offenders.append(f"{path.name}:{node.lineno} "
                                  f"time.{func.attr}()")
         assert not offenders, (
             "raw stdlib clock calls in single-clock-domain modules "
-            f"(use repro.obs.clock.now()): {offenders}")
+            f"(use repro.obs.clock.now() / sleep()): {offenders}")
 
 
 class TestDeadlineArithmetic:

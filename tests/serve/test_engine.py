@@ -252,3 +252,66 @@ class TestQueueDepthAccounting:
             assert server.drain(timeout=30.0)
             assert self._depth(server) == 0
         assert futures[1].result(timeout=0) == futures[2].result(timeout=0)
+
+
+class TestSingleWorkerPath:
+    """A plain server (``resilience=None``) runs its batches through the
+    self-healing loop under a null policy: one attempt, no scrub, no
+    retry, and the loop's ``np.errstate`` guard."""
+
+    def test_batch_error_reaches_every_future_once(self, monkeypatch):
+        import repro.serve.engine as engine_mod
+        from repro.serve.engine import _SWALLOWED
+
+        pool = ModelPool()
+        pool.enable_scrubbing()             # a scrubber the server ignores
+        pool.get("transformer")
+        scrubbed_before = pool.scrub_counters()
+        attempts = _SWALLOWED.labels(site="resilient.attempt",
+                                     exc="RuntimeError")
+        attempts_before = attempts.value
+
+        def broken(entry, requests):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(engine_mod, "run_microbatch", broken)
+        server = InferenceServer(pool, max_batch=2, max_wait_ms=0.0)
+        assert server.resilience is None
+        with server:
+            futures = [server.submit("translate", SRC, max_len=4)
+                       for _ in range(4)]
+            assert server.drain(timeout=30.0)
+        for future in futures:
+            with pytest.raises(RuntimeError, match="kernel exploded"):
+                future.result(timeout=0)
+        snap = server.stats.snapshot()
+        batches = snap["batches"]["count"]
+        assert attempts.value - attempts_before == batches
+        assert snap["requests"]["failed"] == 4
+        assert snap["resilience"]["scrubs"] == 0
+        assert snap["resilience"]["retries"] == 0
+        assert snap["resilience"]["faults_detected"] == 0
+        assert pool.scrub_counters() == scrubbed_before
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inf_weight_leaks_no_warning(self):
+        import numpy as np
+
+        from repro.serve.engine import _SWALLOWED
+
+        pool = ModelPool()
+        model = pool.get("transformer").model
+        name = "encoder.0.ffn.fc1.weight"
+        data = model.get_parameter(name).data.copy()
+        data.flat[:8] = np.inf
+        model.swap_parameter(name, data)
+        warned = _SWALLOWED.labels(site="resilient.attempt",
+                                   exc="RuntimeWarning")
+        warned_before = warned.value
+        with InferenceServer(pool, max_batch=2, max_wait_ms=0.0) as server:
+            futures = [server.submit("translate", SRC, max_len=4)
+                       for _ in range(2)]
+            assert server.drain(timeout=30.0)
+        for future in futures:
+            assert isinstance(future.result(timeout=0), list)
+        assert warned.value == warned_before

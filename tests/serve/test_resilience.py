@@ -10,7 +10,6 @@ requests.
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.nn import deterministic_matmul
@@ -264,3 +263,40 @@ class TestFaultRecoveryBench:
         assert record["retried"]
         assert record["injected"]["bit_index"] == 1
         assert record["resilience"]["degradation"] == "ok"
+
+
+class TestRetryBackoff:
+    def test_persistent_fault_backs_off_on_the_obs_clock(self, pool,
+                                                         monkeypatch):
+        # A probe fault no scrub can clear: every attempt is quarantined,
+        # so the batch sleeps backoff(0), then backoff(1), then degrades.
+        from repro.obs import ManualClock, clock
+
+        class RecordingClock(ManualClock):
+            def __init__(self):
+                super().__init__()
+                self.sleeps = []
+
+            def advance(self, seconds):
+                self.sleeps.append(seconds)
+                return super().advance(seconds)
+
+        monkeypatch.setattr(
+            InferenceServer, "_probe_batch",
+            lambda self, entry, requests: ([None] * len(requests),
+                                           "forward-nan"))
+        cfg = quiet_config(max_retries=2, retry_backoff_s=0.01,
+                           retry_backoff_max_s=1.0)
+        manual = RecordingClock()
+        with clock.patched(manual):
+            server = InferenceServer(pool, max_batch=1, resilience=cfg)
+            with server:
+                future = server.submit("translate", [3, 4, 5], max_len=4)
+                assert server.drain(timeout=60.0)
+        assert manual.sleeps == [cfg.backoff(0), cfg.backoff(1)]
+        with pytest.raises(ServerDegraded, match="persisted through 2"):
+            future.result(timeout=0)
+        res = server.stats.snapshot()["resilience"]
+        assert res["retries"] == 2
+        assert res["fault_kinds"] == {"probe": 3}
+        assert res["uncorrectable"] == 1
